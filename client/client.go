@@ -95,7 +95,7 @@ func (e *APIError) Error() string {
 
 // Rewrite posts a rewrite request to the cluster and decodes the plan.
 func (c *Client) Rewrite(ctx context.Context, req RewriteRequest) (*PlanResponse, error) {
-	key, _ := req.PlanKey() // a key error becomes the server's 400
+	key := c.routeKey(req.PlanKey)
 	var out PlanResponse
 	hdr, err := c.postJSON(ctx, "/v1/rewrite", key, req, &out)
 	if err != nil {
@@ -109,7 +109,7 @@ func (c *Client) Rewrite(ctx context.Context, req RewriteRequest) (*PlanResponse
 
 // RPQ posts a regular-path-query rewrite request.
 func (c *Client) RPQ(ctx context.Context, req RPQRequest) (*PlanResponse, error) {
-	key, _ := req.PlanKey()
+	key := c.routeKey(req.PlanKey)
 	var out PlanResponse
 	hdr, err := c.postJSON(ctx, "/v1/rpq", key, req, &out)
 	if err != nil {
@@ -139,7 +139,7 @@ type QueryResult struct {
 // error lines surface as *APIError with Status 200 after fn has seen
 // every answer that preceded the failure.
 func (c *Client) Query(ctx context.Context, req QueryRequest, fn func(QueryAnswer) error) (*QueryResult, error) {
-	key, _ := req.PlanKey()
+	key := c.routeKey(req.PlanKey)
 	resp, err := c.post(ctx, "/v1/query", key, req)
 	if err != nil {
 		return nil, err
@@ -272,6 +272,17 @@ func (c *Client) Graphs(ctx context.Context) ([]GraphInfo, error) {
 		return out.Graphs, nil
 	}
 	return nil, fmt.Errorf("regexrwclient: every replica unreachable: %w", lastErr)
+}
+
+// routeKey returns the plan key a request routes by. Only a ring uses
+// it, so a single-server client neither parses nor hashes the request.
+// A key error routes nowhere in particular: the server answers it 400.
+func (c *Client) routeKey(planKey func() (string, error)) string {
+	if c.ring == nil {
+		return ""
+	}
+	key, _ := planKey()
+	return key
 }
 
 // postJSON posts and decodes a JSON response body, returning the

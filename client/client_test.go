@@ -107,6 +107,36 @@ func TestClientRoutesToOwner(t *testing.T) {
 	}
 }
 
+// TestClientSingleServerSkipsPlanKey: the plan key only places a
+// request on a ring, so a single-server client never computes it — an
+// unparsable request still travels to the server, whose 400 is the
+// answer — while a cluster client does.
+func TestClientSingleServerSkipsPlanKey(t *testing.T) {
+	reps, addrs := clusterOf(t, 2)
+	single, err := New(addrs[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyed := 0
+	planKey := func() (string, error) { keyed++; return "k", nil }
+	if key := single.routeKey(planKey); key != "" || keyed != 0 {
+		t.Fatalf("single server: key %q after %d PlanKey calls, want none", key, keyed)
+	}
+	if _, err := single.Rewrite(context.Background(), RewriteRequest{Query: "a·(", Views: map[string]string{"v": "a"}}); err != nil {
+		t.Fatal(err)
+	}
+	if reps[0].hits.Load() != 1 || reps[0].noForward.Load() {
+		t.Fatalf("single server: %d hits, no-forward %v", reps[0].hits.Load(), reps[0].noForward.Load())
+	}
+	cl, err := New(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key := cl.routeKey(planKey); key != "k" || keyed != 1 {
+		t.Fatalf("cluster: key %q after %d PlanKey calls, want k after 1", key, keyed)
+	}
+}
+
 // TestClientFollowsNotOwner: when the dialed replica disclaims
 // ownership (ring mismatch), the client follows the named owner once,
 // with forwarding allowed on the second hop.

@@ -355,12 +355,13 @@ type QueryErrorLine struct {
 }
 
 // RegisterGraphRequest is the body of POST /v1/graphs: a generator
-// spec, a server-side file path, or the graph itself in the text
-// codec.
+// spec or the graph itself in the text codec.
 type RegisterGraphRequest struct {
 	Name string `json:"name"`
 	// Spec is a workload generator spec ("grid:100x100",
-	// "powerlaw:1000:10000:7", …) or a server-side file path.
+	// "powerlaw:1000:10000:7", …). File paths are refused with 400
+	// bad_request: a server reads graph files only from its boot-time
+	// -graph flags.
 	Spec string `json:"spec,omitempty"`
 	// Text is the database in the graph text codec ("from label to"
 	// lines), for clients shipping their own data.

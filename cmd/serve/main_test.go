@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"regexrw/internal/core"
 	"regexrw/internal/engine"
 	"regexrw/internal/obs"
 	"regexrw/internal/workload"
@@ -188,6 +189,37 @@ func TestServeBadRequests(t *testing.T) {
 		}
 		if e := decode[errorEnvelope](t, raw).Error; e.Code != "bad_request" {
 			t.Errorf("%s: code %q", tc.name, e.Code)
+		}
+	}
+}
+
+// TestServeParseErrorMessage: the engine parses requests now, and its
+// *engine.ParseError must reach the client exactly as the handler's
+// own parse used to: 400 bad_request carrying the parser's message.
+func TestServeParseErrorMessage(t *testing.T) {
+	ts, _ := testServer(t)
+	views := map[string]string{"e1": "a", "e2": "b·("}
+	_, perr := core.ParseInstance("a·b", views)
+	if perr == nil {
+		t.Fatal("instance unexpectedly parses")
+	}
+	for _, path := range []string{"/v1/rewrite", "/v1/query"} {
+		body := map[string]any{"query": "a·b", "views": views}
+		if path == "/v1/query" {
+			body["graph"] = "g"
+			if resp, raw := post(t, ts.URL+"/v1/graphs", registerGraphRequest{Name: "g", Spec: "chain:3:e1"}); resp.StatusCode != http.StatusOK {
+				t.Fatalf("register: %d %s", resp.StatusCode, raw)
+			}
+		}
+		for i := 0; i < 2; i++ { // the second request finds nothing indexed either
+			resp, raw := post(t, ts.URL+path, body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s: status %d, want 400: %s", path, resp.StatusCode, raw)
+			}
+			e := decode[errorEnvelope](t, raw).Error
+			if e.Code != "bad_request" || e.Message != perr.Error() {
+				t.Fatalf("%s: error %+v, want bad_request %q", path, e, perr.Error())
+			}
 		}
 	}
 }

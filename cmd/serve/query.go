@@ -42,13 +42,6 @@ func (g *graphSet) get(name string) (*graph.DB, bool) {
 	return db, ok
 }
 
-// graphInfo is one registry entry in GET /v1/graphs.
-type graphInfo struct {
-	Name  string `json:"name"`
-	Nodes int    `json:"nodes"`
-	Edges int    `json:"edges"`
-}
-
 func (g *graphSet) list() []graphInfo {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
@@ -61,9 +54,11 @@ func (g *graphSet) list() []graphInfo {
 	return out
 }
 
-// loadGraph resolves one -graph spec: a generator spec understood by
-// internal/workload ("grid:WxH", "chain:N", "powerlaw:N:E:SEED",
-// "random:N:E:SEED") or a path to a file in the graph text codec.
+// loadGraph resolves one boot-time -graph spec: a generator spec
+// understood by internal/workload ("grid:WxH", "chain:N",
+// "powerlaw:N:E:SEED", "random:N:E:SEED") or a path to a file in the
+// graph text codec. Only the operator's flags reach it; specs sent
+// over HTTP go through generateGraph, which opens no file.
 func loadGraph(spec string) (*graph.DB, error) {
 	if workload.IsGraphSpec(spec) {
 		return workload.ParseGraphSpec(spec)
@@ -74,6 +69,15 @@ func loadGraph(spec string) (*graph.DB, error) {
 	}
 	defer f.Close()
 	return graph.Read(f, nil)
+}
+
+// generateGraph resolves a spec sent to POST /v1/graphs: generator
+// specs only. A client's spec never names a server-side file.
+func generateGraph(spec string) (*graph.DB, error) {
+	if !workload.IsGraphSpec(spec) {
+		return nil, fmt.Errorf("spec %q is not a graph generator spec (grid, chain, powerlaw or random); send the graph itself as text, or register files with the -graph flag", spec)
+	}
+	return workload.ParseGraphSpec(spec)
 }
 
 // graphFlags is the repeatable -graph name=spec flag.
@@ -102,19 +106,6 @@ func registerGraphFlags(gs *graphSet, flags []string) error {
 	return nil
 }
 
-// registerGraphRequest is the body of POST /v1/graphs: a generator
-// spec, a server-side file path, or the graph itself in the text
-// codec.
-type registerGraphRequest struct {
-	Name string `json:"name"`
-	// Spec is a workload generator spec ("grid:100x100",
-	// "powerlaw:1000:10000:7", …) or a server-side file path.
-	Spec string `json:"spec,omitempty"`
-	// Text is the database in the graph text codec ("from label to"
-	// lines), for clients shipping their own data.
-	Text string `json:"text,omitempty"`
-}
-
 func (s *server) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
 	var req registerGraphRequest
 	if err := decodeJSON(r, &req); err != nil {
@@ -131,7 +122,7 @@ func (s *server) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
 	case req.Spec != "" && req.Text != "":
 		err = fmt.Errorf("give spec or text, not both")
 	case req.Spec != "":
-		db, err = loadGraph(req.Spec)
+		db, err = generateGraph(req.Spec)
 	case req.Text != "":
 		db, err = graph.Read(strings.NewReader(req.Text), nil)
 	default:
@@ -151,15 +142,22 @@ func (s *server) handleListGraphs(w http.ResponseWriter, _ *http.Request) {
 	}{s.graphs.list()})
 }
 
-// The /v1/query wire schema is defined in the regexrwclient package
-// and aliased here; see client/wire.go for the documented definitions.
+// The /v1/graphs and /v1/query wire schemas are defined in the
+// regexrwclient package and aliased here; see client/wire.go for the
+// documented definitions.
 type (
-	queryRequest    = regexrwclient.QueryRequest
-	queryHeader     = regexrwclient.QueryHeader
-	queryAnswerLine = regexrwclient.QueryAnswer
-	queryTrailer    = regexrwclient.QueryTrailer
-	queryErrorLine  = regexrwclient.QueryErrorLine
+	registerGraphRequest = regexrwclient.RegisterGraphRequest
+	graphInfo            = regexrwclient.GraphInfo
+	queryRequest         = regexrwclient.QueryRequest
+	queryHeader          = regexrwclient.QueryHeader
+	queryAnswerLine      = regexrwclient.QueryAnswer
+	queryTrailer         = regexrwclient.QueryTrailer
+	queryErrorLine       = regexrwclient.QueryErrorLine
 )
+
+// answerChunk is the size at which buffered answer lines are written
+// to the response.
+const answerChunk = 4 << 10
 
 // handleQuery answers a registered graph with NDJSON streaming: one
 // header line, one line per answer pair as discovered, one trailer.
@@ -225,7 +223,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	enc.SetEscapeHTML(false)
 	flusher, _ := w.(http.Flusher)
 	_ = enc.Encode(queryHeader{
-		Type: "header", Key: string(plan.Key()), Rewriting: plan.Regex().String(),
+		Type: "header", Key: string(plan.Key()), Rewriting: plan.RegexString(),
 		Exact: plan.IsExact(), Mode: string(mode), Graph: req.Graph,
 		Nodes: db.NumNodes(), Edges: db.NumEdges(), Degraded: degraded,
 	})
@@ -233,10 +231,20 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		flusher.Flush()
 	}
 
+	// Answer lines are appended into one reused buffer and written in
+	// chunks; every 1024 answers the stream is also flushed to the
+	// client.
 	answers := 0
+	buf := make([]byte, 0, answerChunk+256)
 	res, err := s.eng.QueryFunc(ctx, ereq, func(a engine.QueryAnswer) error {
 		answers++
-		if err := enc.Encode(queryAnswerLine{Type: "answer", From: a.From, To: a.To}); err != nil {
+		buf = appendAnswerLine(buf, a.From, a.To)
+		if len(buf) < answerChunk && answers%1024 != 0 {
+			return nil
+		}
+		_, err := w.Write(buf)
+		buf = buf[:0]
+		if err != nil {
 			return err
 		}
 		if flusher != nil && answers%1024 == 0 {
@@ -245,6 +253,9 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	span.End()
+	if len(buf) > 0 {
+		_, _ = w.Write(buf) // a failed write leaves nobody to tell
+	}
 	if err != nil {
 		status, ej := engineError(err)
 		_ = status // committed: the envelope travels as an NDJSON line

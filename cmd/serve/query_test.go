@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -147,8 +149,11 @@ func TestServeQueryErrorsBeforeStream(t *testing.T) {
 	req = ex2Query
 	req.Query = "a·(("
 	resp, raw = post(t, ts.URL+"/v1/query", req)
-	if resp.StatusCode != http.StatusBadRequest && resp.StatusCode != http.StatusInternalServerError {
+	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
+	}
+	if e := decode[errorEnvelope](t, raw).Error; e.Code != "bad_request" {
+		t.Fatalf("error code %q, want bad_request", e.Code)
 	}
 	if strings.Contains(string(raw), `"type":"header"`) {
 		t.Fatalf("stream started despite compile error: %s", raw)
@@ -232,6 +237,41 @@ func TestServeGraphRegistry(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("bad registration %+v: status %d, want 400", bad, resp.StatusCode)
 		}
+	}
+}
+
+// TestServeGraphRegistryRefusesFiles: over HTTP a spec is a generator
+// spec or nothing. A path is refused with 400 bad_request — including
+// a path to a well-formed graph file, which the server would have
+// loaded had it opened it — and the registry stays unchanged.
+func TestServeGraphRegistryRefusesFiles(t *testing.T) {
+	ts, _ := testServer(t)
+	valid := filepath.Join(t.TempDir(), "valid.graph")
+	if err := os.WriteFile(valid, []byte("x a y\ny b z\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []string{"/etc/passwd", valid, "valid.graph", "/dev/zero"} {
+		resp, raw := post(t, ts.URL+"/v1/graphs", registerGraphRequest{Name: "stolen", Spec: spec})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("spec %q: status %d, want 400: %s", spec, resp.StatusCode, raw)
+		}
+		if e := decode[errorEnvelope](t, raw).Error; e.Code != "bad_request" || !strings.Contains(e.Message, "generator spec") {
+			t.Fatalf("spec %q: error %+v", spec, e)
+		}
+	}
+	httpResp, err := http.Get(ts.URL + "/v1/graphs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer httpResp.Body.Close()
+	var listing struct {
+		Graphs []graphInfo `json:"graphs"`
+	}
+	if err := json.NewDecoder(httpResp.Body).Decode(&listing); err != nil {
+		t.Fatal(err)
+	}
+	if len(listing.Graphs) != 0 {
+		t.Fatalf("refused specs registered graphs: %+v", listing.Graphs)
 	}
 }
 

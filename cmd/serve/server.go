@@ -11,7 +11,6 @@ import (
 	regexrwclient "regexrw/client"
 	"regexrw/internal/automata"
 	"regexrw/internal/budget"
-	"regexrw/internal/core"
 	"regexrw/internal/engine"
 	"regexrw/internal/eval"
 	"regexrw/internal/obs"
@@ -85,15 +84,13 @@ func (s *server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errorJSON{Code: "bad_request", Message: err.Error()})
 		return
 	}
-	inst, err := core.ParseInstance(req.Query, req.Views)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, errorJSON{Code: "bad_request", Message: err.Error()})
-		return
-	}
+	// The engine parses the request only when its spelling is new; a
+	// syntax error comes back as a *engine.ParseError, answered 400.
 	ctx, tr := traceCtx(r.Context(), req.Trace)
 	ctx, span := routeSpan(ctx)
 	plan, err := s.eng.Rewrite(ctx, engine.Request{
-		Instance:       inst,
+		Query:          req.Query,
+		Views:          req.Views,
 		Partial:        req.Partial,
 		MaxStates:      req.MaxStates,
 		MaxTransitions: req.MaxTransitions,
@@ -139,7 +136,7 @@ func (s *server) respond(w http.ResponseWriter, r *http.Request, plan *engine.Pl
 	}
 	resp := planResponse{
 		Key:        string(plan.Key()),
-		Rewriting:  plan.Regex().String(),
+		Rewriting:  plan.RegexString(),
 		Exact:      plan.IsExact(),
 		Verdict:    plan.Exactness().Verdict.String(),
 		Witness:    plan.Witness(),
@@ -200,7 +197,10 @@ func engineError(err error) (int, errorJSON) {
 
 func engineErrorDetail(err error) (int, errorJSON) {
 	var ex *budget.ExceededError
+	var pe *engine.ParseError
 	switch {
+	case errors.As(err, &pe):
+		return http.StatusBadRequest, errorJSON{Code: "bad_request", Message: err.Error()}
 	case errors.As(err, &ex):
 		return http.StatusUnprocessableEntity, errorJSON{
 			Code: "budget_exceeded", Message: err.Error(),

@@ -50,16 +50,18 @@ type Engine struct {
 	tracer         *obs.Tracer
 	reg            *obs.Registry
 
-	cache *planCache
-	evals evalCache // shared read-only evaluators for Query (query.go)
+	cache     *planCache
+	spellings *spellingIndex // raw request spelling → plan key (spelling.go)
+	evals     evalCache      // shared read-only evaluators for Query (query.go)
 
 	// store is the optional persistent plan store: a second cache tier
 	// behind the LRU, consulted by singleflight leaders before they
 	// compile and written behind after they do. Every store failure
 	// degrades to an in-memory compile; the store can never fail a
 	// request.
-	store *planstore.Store
-	saves sync.WaitGroup // in-flight write-behind saves
+	store  *planstore.Store
+	saves  sync.WaitGroup // in-flight write-behind saves
+	saveMu sync.Mutex     // orders saves.Add against Close's Wait
 
 	// Singleflight: at most one compile per key runs at a time; later
 	// identical requests wait on the leader's call.
@@ -192,6 +194,7 @@ func New(opts ...Option) *Engine {
 	if e.cache == nil {
 		e.cache = newPlanCache(1024)
 	}
+	e.spellings = newSpellingIndex(spellingsPerPlan * e.cache.capacity)
 	e.evals.cap = 64
 	if e.admitLimit > 0 {
 		e.admit = make(chan struct{}, e.admitLimit)
@@ -201,8 +204,16 @@ func New(opts ...Option) *Engine {
 
 // Close marks the engine closed: every subsequent entry point fails
 // with an error matching errors.Is(err, ErrClosed). In-flight compiles
-// finish normally. Close is idempotent.
-func (e *Engine) Close() { e.closed.Store(true) }
+// finish normally (a compile still in flight persists its plan before
+// returning it). Close then waits for the write-behind saves already
+// started, so when no request is in flight the plan store's directory
+// is quiet once Close returns. Close is idempotent.
+func (e *Engine) Close() {
+	e.saveMu.Lock()
+	e.closed.Store(true)
+	e.saveMu.Unlock()
+	e.saves.Wait()
+}
 
 // Stats is a consistent-enough snapshot of the engine's counters (each
 // field is individually atomic). Hits+Misses = cache lookups; Dedups
@@ -303,19 +314,47 @@ type RPQRequest struct {
 // pipeline entry points: errors.As(*budget.ExceededError) with the
 // stage that gave out. Admission rejection surfaces as
 // errors.Is(err, ErrQueueFull).
+//
+// A request given as concrete syntax is parsed only when its spelling
+// is not in the engine's spelling index (or its plan must be
+// compiled); a syntax error surfaces as a *ParseError.
 func (e *Engine) Rewrite(ctx context.Context, req Request) (*Plan, error) {
 	inst := req.Instance
-	if inst == nil {
-		var err error
-		inst, err = core.ParseInstance(req.Query, req.Views)
-		if err != nil {
-			return nil, err
+	var key Key
+	if inst != nil {
+		key = keyOfInstance(inst, req.Partial)
+	} else {
+		spelling := appendSpelling(nil, req.Query, req.Views, req.Partial)
+		var ok bool
+		if key, ok = e.spellings.get(spelling); !ok {
+			var err error
+			if inst, err = e.parse(req.Query, req.Views); err != nil {
+				return nil, err
+			}
+			key = keyOfInstance(inst, req.Partial)
+			e.spellings.add(spelling, key)
 		}
 	}
-	key := keyOfInstance(inst, req.Partial)
 	return e.serve(ctx, key, !req.Partial, req.MaxStates, req.MaxTransitions, req.Timeout, func(cctx context.Context) (*Plan, error) {
+		if inst == nil {
+			var err error
+			if inst, err = e.parse(req.Query, req.Views); err != nil {
+				return nil, err
+			}
+		}
 		return compileInstance(cctx, key, inst, req.Partial)
 	})
+}
+
+// parse parses a request's concrete syntax into an instance, counting
+// engine.parses; a syntax error comes back as a *ParseError.
+func (e *Engine) parse(query string, views map[string]string) (*core.Instance, error) {
+	e.reg.Counter("engine.parses").Inc()
+	inst, err := core.ParseInstance(query, views)
+	if err != nil {
+		return nil, &ParseError{Err: err}
+	}
+	return inst, nil
 }
 
 // RewriteRPQ returns the plan for a regular-path-query request
@@ -365,6 +404,14 @@ func (e *Engine) serve(ctx context.Context, key Key, storable bool, maxStates, m
 		case <-ctx.Done():
 			return nil, fmt.Errorf("engine: waiting for in-flight compile: %w", ctx.Err())
 		}
+	}
+	// A leader for key may have finished between the lookup above and
+	// taking mu: it adds its plan to the cache before leaving calls, so
+	// the plan is there now. Count the request as having joined it.
+	if p, ok := e.cache.get(key); ok {
+		e.mu.Unlock()
+		e.count(&e.dedups, "cache.plan.dedup")
+		return p, nil
 	}
 	c := &call{done: make(chan struct{})}
 	e.calls[key] = c
@@ -501,23 +548,36 @@ func (e *Engine) loadStored(ctx context.Context, key Key) *Plan {
 // saveAsync persists a freshly compiled plan off the request path. The
 // write is fire-and-forget: a failed save costs a recompile after the
 // next restart, nothing else. FlushStore waits for in-flight saves.
+// Once Close has begun, a compile that was still in flight saves
+// synchronously instead, so Close's wait never races a new save.
 func (e *Engine) saveAsync(p *Plan) {
 	sp, err := storedFromPlan(p)
 	if err != nil {
 		return
 	}
+	e.saveMu.Lock()
+	if e.closed.Load() {
+		e.saveMu.Unlock()
+		e.save(sp)
+		return
+	}
 	e.saves.Add(1)
+	e.saveMu.Unlock()
 	go func() {
 		defer e.saves.Done()
-		_, span := obs.StartSpan(context.Background(), "engine.store.save")
-		defer span.End()
-		if err := e.store.Put(sp); err != nil {
-			span.SetAttr("ok", 0)
-			return
-		}
-		span.SetAttr("ok", 1)
-		e.count(&e.storeSaves, "engine.store.saves")
+		e.save(sp)
 	}()
+}
+
+func (e *Engine) save(sp *planstore.StoredPlan) {
+	_, span := obs.StartSpan(context.Background(), "engine.store.save")
+	defer span.End()
+	if err := e.store.Put(sp); err != nil {
+		span.SetAttr("ok", 0)
+		return
+	}
+	span.SetAttr("ok", 1)
+	e.count(&e.storeSaves, "engine.store.saves")
 }
 
 // FlushStore blocks until every write-behind save started so far has

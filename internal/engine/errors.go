@@ -36,3 +36,13 @@ func (e *AdmissionError) Error() string {
 // Is makes errors.Is(err, ErrQueueFull) match any *AdmissionError, so
 // the common "shed load" branch needs no type assertion.
 func (e *AdmissionError) Is(target error) bool { return target == ErrQueueFull }
+
+// ParseError reports a request whose concrete syntax (Request.Query /
+// Views) does not parse into an instance: the client's fault, never
+// the engine's. Its message is the parser's, verbatim; errors.As with
+// *ParseError lets a serving layer map it to a bad-request status.
+type ParseError struct{ Err error }
+
+func (e *ParseError) Error() string { return e.Err.Error() }
+
+func (e *ParseError) Unwrap() error { return e.Err }

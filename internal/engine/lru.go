@@ -12,7 +12,8 @@ import (
 // The cache never blocks a compile — callers look up, compile on miss,
 // then add.
 type planCache struct {
-	shards []*cacheShard
+	shards   []*cacheShard
+	capacity int // as requested; 0 when disabled
 }
 
 // cacheShard is one lock's worth of LRU: map for O(1) lookup, intrusive
@@ -44,7 +45,7 @@ func newPlanCache(capacity int) *planCache {
 		return &planCache{}
 	}
 	perShard := (capacity + cacheShards - 1) / cacheShards
-	c := &planCache{shards: make([]*cacheShard, cacheShards)}
+	c := &planCache{shards: make([]*cacheShard, cacheShards), capacity: capacity}
 	for i := range c.shards {
 		c.shards[i] = &cacheShard{
 			cap:   perShard,

@@ -22,7 +22,7 @@ var otherReq = Request{
 // must be able to compute anything).
 func TestWarmStartOwnershipFilter(t *testing.T) {
 	dir := t.TempDir()
-	e1 := New(WithMetrics(obs.NewRegistry()), WithPlanStore(openStore(t, dir)))
+	e1 := newStoreEngine(t, openStore(t, dir))
 	p1, err := e1.Rewrite(context.Background(), ex2)
 	if err != nil {
 		t.Fatal(err)
@@ -37,11 +37,7 @@ func TestWarmStartOwnershipFilter(t *testing.T) {
 
 	// Replica that owns only ex2's key.
 	owned := p1.Key()
-	e2 := New(
-		WithMetrics(obs.NewRegistry()),
-		WithPlanStore(openStore(t, dir)),
-		WithOwnership(func(k Key) bool { return k == owned }),
-	)
+	e2 := newStoreEngine(t, openStore(t, dir), WithOwnership(func(k Key) bool { return k == owned }))
 	n, err := e2.WarmStart(context.Background())
 	if err != nil {
 		t.Fatal(err)

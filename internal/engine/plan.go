@@ -36,6 +36,7 @@ type Plan struct {
 	rpq  *rpq.Rewriting // nil for regex plans
 
 	expr         *regex.Node
+	text         string // expr.String(), rendered once
 	exact        core.ExactnessReport
 	witnessNames []string // exact.Witness by Σ symbol name
 	minimal      *automata.DFA
@@ -73,6 +74,11 @@ func (p *Plan) RPQ() *rpq.Rewriting { return p.rpq }
 // Regex returns the rewriting as a simplified expression over the view
 // names, computed once at compile time.
 func (p *Plan) Regex() *regex.Node { return p.expr }
+
+// RegexString returns Regex().String(), rendered once when the plan
+// was compiled or restored, so serving layers answer without
+// re-rendering the expression per request.
+func (p *Plan) RegexString() string { return p.text }
 
 // Exactness returns the compile-time exactness report. Under the
 // compile budget the verdict can be ExactUnknown — the plan is still a
@@ -191,6 +197,7 @@ func finishPlan(ctx context.Context, key Key, rw *core.Rewriting) (*Plan, error)
 		p.witnessNames = symbolNames(rw.Sigma(), p.exact.Witness)
 	}
 	p.expr = rw.Regex()
+	p.text = p.expr.String()
 	p.minimal = rw.MinimalDFA()
 	if w, ok := rw.ShortestWord(); ok {
 		p.shortest, p.hasWord = symbolNames(rw.SigmaE(), w), true
@@ -210,7 +217,7 @@ func storedFromPlan(p *Plan) (*planstore.StoredPlan, error) {
 	sp := &planstore.StoredPlan{
 		Key:             string(p.key),
 		Kind:            p.storedKind,
-		Rewriting:       p.expr.String(),
+		Rewriting:       p.text,
 		Verdict:         int(p.exact.Verdict),
 		Witness:         p.witnessNames,
 		Stage:           p.exact.Stage,
@@ -260,6 +267,7 @@ func planFromStored(key Key, sp *planstore.StoredPlan) (*Plan, error) {
 	p := &Plan{
 		key:          key,
 		expr:         expr,
+		text:         sp.Rewriting, // stored from String(), which re-parses to itself
 		witnessNames: sp.Witness,
 		minimal:      sp.MinimalDFA,
 		shortest:     sp.ShortestWord,

@@ -9,7 +9,6 @@ import (
 
 	"regexrw/internal/automata"
 	"regexrw/internal/budget"
-	"regexrw/internal/core"
 	"regexrw/internal/eval"
 	"regexrw/internal/graph"
 	"regexrw/internal/obs"
@@ -171,18 +170,6 @@ func (e *Engine) QueryFunc(ctx context.Context, req QueryRequest, yield func(Que
 	span.SetAttr("mode_query", boolAttr(req.Mode == ModeQuery))
 	e.count(&e.queries, "engine.queries")
 
-	// ModeQuery needs the parsed instance even when the plan was
-	// restored from disk (restored plans carry only serving artifacts);
-	// parse it up front and hand it to Rewrite so the work is shared.
-	inst := req.Instance
-	if inst == nil && req.Mode == ModeQuery {
-		var err error
-		inst, err = core.ParseInstance(req.Query, req.Views)
-		if err != nil {
-			return nil, err
-		}
-		req.Instance = inst
-	}
 	plan, err := e.Rewrite(ctx, req.Request)
 	if err != nil {
 		return nil, err
@@ -190,7 +177,7 @@ func (e *Engine) QueryFunc(ctx context.Context, req QueryRequest, yield func(Que
 
 	ectx, cancel := e.evalContext(ctx, req.MaxStates, req.MaxTransitions, req.Timeout)
 	defer cancel()
-	ev, err := e.evaluator(ectx, plan, inst, req.Mode, req.Graph)
+	ev, err := e.evaluator(ectx, plan, req.Request, req.Mode, req.Graph)
 	if err != nil {
 		return nil, err
 	}
@@ -249,14 +236,14 @@ func (e *Engine) QueryFunc(ctx context.Context, req QueryRequest, yield func(Que
 
 // evaluator returns the shared evaluator for (plan, mode, graph),
 // building and caching it on first use.
-func (e *Engine) evaluator(ctx context.Context, plan *Plan, inst *core.Instance, mode QueryMode, db *graph.DB) (*eval.Evaluator, error) {
+func (e *Engine) evaluator(ctx context.Context, plan *Plan, req Request, mode QueryMode, db *graph.DB) (*eval.Evaluator, error) {
 	k := evalKey{plan: plan.Key(), mode: mode, db: db}
 	if ev, ok := e.evals.get(k); ok {
 		e.reg.Counter("cache.eval.hits").Inc()
 		return ev, nil
 	}
 	e.reg.Counter("cache.eval.misses").Inc()
-	d, err := e.queryAutomaton(ctx, plan, inst, mode)
+	d, err := e.queryAutomaton(ctx, plan, req, mode)
 	if err != nil {
 		return nil, err
 	}
@@ -270,15 +257,22 @@ func (e *Engine) evaluator(ctx context.Context, plan *Plan, inst *core.Instance,
 
 // queryAutomaton picks the DFA a mode evaluates: the plan's canonical
 // minimal rewriting DFA, or a determinization of the original query.
-func (e *Engine) queryAutomaton(ctx context.Context, plan *Plan, inst *core.Instance, mode QueryMode) (*automata.DFA, error) {
+// ModeQuery takes the instance from the request or the compiled plan;
+// only a restored plan (no construction state) given as concrete
+// syntax needs a parse here.
+func (e *Engine) queryAutomaton(ctx context.Context, plan *Plan, req Request, mode QueryMode) (*automata.DFA, error) {
 	if mode == ModeRewriting {
 		return plan.MinimalDFA(), nil
 	}
+	inst := req.Instance
 	if inst == nil {
 		inst = plan.Instance()
 	}
 	if inst == nil {
-		return nil, fmt.Errorf("engine: %s needs the parsed instance (restored plan without request syntax)", ModeQuery)
+		var err error
+		if inst, err = e.parse(req.Query, req.Views); err != nil {
+			return nil, err
+		}
 	}
 	d, err := automata.DeterminizeContext(ctx, inst.QueryNFA())
 	if err != nil {
@@ -377,22 +371,13 @@ func (e *Engine) QueryIncremental(ctx context.Context, req QueryRequest) (*LiveQ
 	span.SetAttr("incremental", 1)
 	e.count(&e.queries, "engine.queries")
 
-	inst := req.Instance
-	if inst == nil && req.Mode == ModeQuery {
-		var err error
-		inst, err = core.ParseInstance(req.Query, req.Views)
-		if err != nil {
-			return nil, err
-		}
-		req.Instance = inst
-	}
 	plan, err := e.Rewrite(ctx, req.Request)
 	if err != nil {
 		return nil, err
 	}
 	ectx, cancel := e.evalContext(ctx, req.MaxStates, req.MaxTransitions, req.Timeout)
 	defer cancel()
-	d, err := e.queryAutomaton(ectx, plan, inst, req.Mode)
+	d, err := e.queryAutomaton(ectx, plan, req.Request, req.Mode)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,6 +25,16 @@ func openStore(t *testing.T, dir string, opts ...planstore.Option) *planstore.St
 	return s
 }
 
+// newStoreEngine builds an engine over the plan store and closes it
+// when the test ends, so no write-behind save is still writing into
+// the store's directory when t.TempDir removes it.
+func newStoreEngine(t *testing.T, s *planstore.Store, opts ...Option) *Engine {
+	t.Helper()
+	e := New(append([]Option{WithMetrics(obs.NewRegistry()), WithPlanStore(s)}, opts...)...)
+	t.Cleanup(e.Close)
+	return e
+}
+
 // TestEngineStoreRestart is the crash-restart contract end to end: a
 // first engine compiles and write-behinds; a second engine over the
 // same directory serves the identical request from disk with zero
@@ -31,7 +42,7 @@ func openStore(t *testing.T, dir string, opts ...planstore.Option) *planstore.St
 // the compiled one did.
 func TestEngineStoreRestart(t *testing.T) {
 	dir := t.TempDir()
-	e1 := New(WithMetrics(obs.NewRegistry()), WithPlanStore(openStore(t, dir)))
+	e1 := newStoreEngine(t, openStore(t, dir))
 	p1, err := e1.Rewrite(context.Background(), ex2)
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +52,7 @@ func TestEngineStoreRestart(t *testing.T) {
 		t.Fatalf("write-behind did not persist: %+v", st)
 	}
 
-	e2 := New(WithMetrics(obs.NewRegistry()), WithPlanStore(openStore(t, dir)))
+	e2 := newStoreEngine(t, openStore(t, dir))
 	p2, err := e2.Rewrite(context.Background(), ex2)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +104,7 @@ func TestEngineStoreRestart(t *testing.T) {
 func TestEngineStoreWitnessSurvives(t *testing.T) {
 	req := Request{Query: "a+b", Views: map[string]string{"e1": "a"}}
 	dir := t.TempDir()
-	e1 := New(WithMetrics(obs.NewRegistry()), WithPlanStore(openStore(t, dir)))
+	e1 := newStoreEngine(t, openStore(t, dir))
 	p1, err := e1.Rewrite(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +113,7 @@ func TestEngineStoreWitnessSurvives(t *testing.T) {
 		t.Fatalf("fixture should be inexact with a witness, got %v", p1.Witness())
 	}
 	e1.FlushStore()
-	e2 := New(WithMetrics(obs.NewRegistry()), WithPlanStore(openStore(t, dir)))
+	e2 := newStoreEngine(t, openStore(t, dir))
 	p2, err := e2.Rewrite(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +130,7 @@ func TestEngineStoreWitnessSurvives(t *testing.T) {
 // the first live request per restored key is already a cache hit.
 func TestEngineWarmStart(t *testing.T) {
 	dir := t.TempDir()
-	e1 := New(WithMetrics(obs.NewRegistry()), WithPlanStore(openStore(t, dir)))
+	e1 := newStoreEngine(t, openStore(t, dir))
 	if _, err := e1.Rewrite(context.Background(), ex2); err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +139,7 @@ func TestEngineWarmStart(t *testing.T) {
 	}
 	e1.FlushStore()
 
-	e2 := New(WithMetrics(obs.NewRegistry()), WithPlanStore(openStore(t, dir)))
+	e2 := newStoreEngine(t, openStore(t, dir))
 	n, err := e2.WarmStart(context.Background())
 	if err != nil || n != 2 {
 		t.Fatalf("WarmStart = %d, %v; want 2, nil", n, err)
@@ -145,7 +156,7 @@ func TestEngineWarmStart(t *testing.T) {
 	// A cancelled context stops the sweep with the loaded-so-far count.
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	e3 := New(WithMetrics(obs.NewRegistry()), WithPlanStore(openStore(t, dir)))
+	e3 := newStoreEngine(t, openStore(t, dir))
 	if _, err := e3.WarmStart(cctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled WarmStart: %v", err)
 	}
@@ -159,7 +170,7 @@ func TestEngineStoreDegradation(t *testing.T) {
 		return nil, errors.New("disk gone")
 	}
 	s := openStore(t, t.TempDir(), planstore.WithHook(hook), planstore.WithBreaker(2, time.Hour))
-	e := New(WithMetrics(obs.NewRegistry()), WithPlanStore(s))
+	e := newStoreEngine(t, s)
 	for i, req := range []Request{
 		ex2,
 		{Query: "a·a", Views: map[string]string{"e1": "a"}},
@@ -184,7 +195,7 @@ func TestEngineStoreDegradation(t *testing.T) {
 // durability property that a corrupt plan is never served.
 func TestEngineStoreCorruptEntryRecompiles(t *testing.T) {
 	dir := t.TempDir()
-	e1 := New(WithMetrics(obs.NewRegistry()), WithPlanStore(openStore(t, dir)))
+	e1 := newStoreEngine(t, openStore(t, dir))
 	p1, err := e1.Rewrite(context.Background(), ex2)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +204,7 @@ func TestEngineStoreCorruptEntryRecompiles(t *testing.T) {
 
 	hook, _ := faultinject.IOFault(faultinject.IORead, 1, faultinject.IOBitFlip)
 	s2 := openStore(t, dir, planstore.WithHook(hook))
-	e2 := New(WithMetrics(obs.NewRegistry()), WithPlanStore(s2))
+	e2 := newStoreEngine(t, s2)
 	p2, err := e2.Rewrite(context.Background(), ex2)
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +226,7 @@ func TestEngineStoreCorruptEntryRecompiles(t *testing.T) {
 // saves for them.
 func TestEnginePartialBypassesStore(t *testing.T) {
 	s := openStore(t, t.TempDir())
-	e := New(WithMetrics(obs.NewRegistry()), WithPlanStore(s))
+	e := newStoreEngine(t, s)
 	if _, err := e.Rewrite(context.Background(), Request{
 		Query: "a+b", Views: map[string]string{"e1": "a"}, Partial: true,
 	}); err != nil {
@@ -235,13 +246,13 @@ func TestEnginePartialBypassesStore(t *testing.T) {
 // plan.
 func TestEngineStoreSingleflightSharesLoad(t *testing.T) {
 	dir := t.TempDir()
-	e1 := New(WithMetrics(obs.NewRegistry()), WithPlanStore(openStore(t, dir)))
+	e1 := newStoreEngine(t, openStore(t, dir))
 	if _, err := e1.Rewrite(context.Background(), ex2); err != nil {
 		t.Fatal(err)
 	}
 	e1.FlushStore()
 
-	e2 := New(WithMetrics(obs.NewRegistry()), WithPlanStore(openStore(t, dir)))
+	e2 := newStoreEngine(t, openStore(t, dir))
 	var wg sync.WaitGroup
 	var failures atomic.Int64
 	for i := 0; i < 8; i++ {
@@ -320,5 +331,38 @@ func TestRewriteWaiterCancellation(t *testing.T) {
 	wg.Wait()
 	if leaderErr != nil {
 		t.Fatalf("leader: %v", leaderErr)
+	}
+}
+
+// TestEngineCloseWaitsForSaves: Close returns only after every
+// write-behind save has reached the store, with no FlushStore, so a
+// closed engine never writes into a directory its owner is removing.
+// Requests racing Close either fail with ErrClosed or persist their
+// plan before returning it.
+func TestEngineCloseWaitsForSaves(t *testing.T) {
+	s := openStore(t, t.TempDir())
+	e := newStoreEngine(t, s)
+	const n = 12
+	var wg sync.WaitGroup
+	var served atomic.Int64
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			req := Request{Query: fmt.Sprintf("a·b{%d}", i+1), Views: map[string]string{"e1": "a", "e2": "b"}}
+			if _, err := e.Rewrite(context.Background(), req); err == nil {
+				served.Add(1)
+			} else if !errors.Is(err, ErrClosed) {
+				t.Error(err)
+			}
+		}(i)
+		if i == n/2 {
+			e.Close()
+		}
+	}
+	wg.Wait()
+	e.Close()
+	if got, err := s.Len(); err != nil || int64(got) != served.Load() {
+		t.Fatalf("store holds %d plans (%v), want every served one (%d)", got, err, served.Load())
 	}
 }

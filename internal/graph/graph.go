@@ -37,6 +37,7 @@ type DB struct {
 	nodes  *alphabet.Alphabet // node names → dense ids
 	labels *alphabet.Alphabet // D
 	out    [][]Edge
+	edges  int // sum of len(out[n]), kept by every add path
 }
 
 // New returns an empty database whose edge labels are drawn from the
@@ -63,8 +64,7 @@ func (db *DB) AddNode(name string) NodeID {
 func (db *DB) AddEdge(from, label, to string) {
 	f := db.AddNode(from)
 	t := db.AddNode(to)
-	l := db.labels.Intern(label)
-	db.out[f] = append(db.out[f], Edge{Label: l, To: t})
+	db.AddEdgeIDs(f, db.labels.Intern(label), t)
 }
 
 // AddEdgeIDs adds the edge from --label--> to by ids: no name
@@ -76,19 +76,15 @@ func (db *DB) AddEdge(from, label, to string) {
 // slice out of bounds.
 func (db *DB) AddEdgeIDs(from NodeID, label alphabet.Symbol, to NodeID) {
 	db.out[from] = append(db.out[from], Edge{Label: label, To: to})
+	db.edges++
 }
 
 // NumNodes returns the number of nodes.
 func (db *DB) NumNodes() int { return db.nodes.Len() }
 
-// NumEdges returns the number of edges.
-func (db *DB) NumEdges() int {
-	total := 0
-	for _, es := range db.out {
-		total += len(es)
-	}
-	return total
-}
+// NumEdges returns the number of edges in O(1): the count is kept by
+// every add path, so serving layers can report it per request.
+func (db *DB) NumEdges() int { return db.edges }
 
 // NodeName returns the name of a node id.
 func (db *DB) NodeName(n NodeID) string { return db.nodes.Name(alphabet.Symbol(n)) }
@@ -357,7 +353,7 @@ func PathDB(domain *alphabet.Alphabet, labels []alphabet.Symbol) (*DB, NodeID, N
 	prev := first
 	for i, l := range labels {
 		next := db.AddNode(fmt.Sprintf("n%d", i+1))
-		db.out[prev] = append(db.out[prev], Edge{Label: l, To: next})
+		db.AddEdgeIDs(prev, l, next)
 		prev = next
 	}
 	return db, first, prev

@@ -278,3 +278,70 @@ func TestDOT(t *testing.T) {
 		}
 	}
 }
+
+// outListEdges is the reference edge count NumEdges must agree with:
+// the sum of every node's out-list.
+func outListEdges(db *DB) int {
+	total := 0
+	for _, es := range db.out {
+		total += len(es)
+	}
+	return total
+}
+
+// TestNumEdgesTracksEveryAddPath: the O(1) edge count equals the sum
+// of the out-lists after each add path — AddEdge (including duplicate
+// edges and new nodes), AddEdgeIDs, AddNode, PathDB and Read.
+func TestNumEdgesTracksEveryAddPath(t *testing.T) {
+	check := func(what string, db *DB) {
+		t.Helper()
+		if got, want := db.NumEdges(), outListEdges(db); got != want {
+			t.Fatalf("%s: NumEdges = %d, out-lists hold %d", what, got, want)
+		}
+	}
+	db := New(nil)
+	check("empty", db)
+	db.AddNode("lonely")
+	check("AddNode", db)
+	db.AddEdge("x", "a", "y")
+	db.AddEdge("x", "a", "y") // multigraph: kept twice
+	db.AddEdge("y", "b", "z")
+	check("AddEdge", db)
+	l := db.Labels().Intern("c")
+	db.AddEdgeIDs(db.NodeID("z"), l, db.NodeID("x"))
+	db.AddEdgeIDs(db.AddNode("w"), l, db.NodeID("w"))
+	check("AddEdgeIDs", db)
+	if db.NumEdges() != 5 {
+		t.Fatalf("NumEdges = %d, want 5", db.NumEdges())
+	}
+
+	sigma := alphabet.New()
+	word := []alphabet.Symbol{sigma.Intern("a"), sigma.Intern("b"), sigma.Intern("a")}
+	pdb, _, _ := PathDB(sigma, word)
+	check("PathDB", pdb)
+	if pdb.NumEdges() != len(word) {
+		t.Fatalf("PathDB: NumEdges = %d, want %d", pdb.NumEdges(), len(word))
+	}
+	empty, _, _ := PathDB(sigma, nil)
+	check("empty PathDB", empty)
+
+	var text strings.Builder
+	if _, err := travelDB().WriteTo(&text); err != nil {
+		t.Fatal(err)
+	}
+	read, err := Read(strings.NewReader(text.String()+"isolated\n"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Read", read)
+	if read.NumEdges() != travelDB().NumEdges() {
+		t.Fatalf("Read: NumEdges = %d, want %d", read.NumEdges(), travelDB().NumEdges())
+	}
+
+	r := rand.New(rand.NewSource(3))
+	rnd := New(nil)
+	for i := 0; i < 200; i++ {
+		rnd.AddEdge(fmt.Sprint(r.Intn(20)), fmt.Sprint(r.Intn(3)), fmt.Sprint(r.Intn(20)))
+	}
+	check("random AddEdge", rnd)
+}

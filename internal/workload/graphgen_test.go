@@ -166,3 +166,31 @@ func TestParseGraphSpecDeterministic(t *testing.T) {
 		t.Fatal("generated graph serialized to nothing")
 	}
 }
+
+// TestGeneratorsNumEdges: every generator builds through AddEdgeIDs,
+// and the database's O(1) edge count must equal the sum of its
+// out-lists for each of them.
+func TestGeneratorsNumEdges(t *testing.T) {
+	dbs := map[string]*graph.DB{
+		"grid":     GridGraph(7, 5, "right", "down"),
+		"chain":    ChainGraph(40, []string{"a", "b", "c"}),
+		"powerlaw": PowerLawGraph(rand.New(rand.NewSource(5)), 300, 2000, []string{"a", "b"}),
+		"random":   RandomGraph(rand.New(rand.NewSource(5)), GraphConfig{Nodes: 300, Edges: 2000, Labels: []string{"a", "b"}}),
+	}
+	for _, spec := range []string{"grid:9x4", "chain:17", "powerlaw:100:700:2", "random:100:700:2:x,y"} {
+		db, err := ParseGraphSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dbs[spec] = db
+	}
+	for name, db := range dbs {
+		total := 0
+		for n := 0; n < db.NumNodes(); n++ {
+			total += len(db.Out(graph.NodeID(n)))
+		}
+		if db.NumEdges() != total {
+			t.Errorf("%s: NumEdges = %d, out-lists hold %d", name, db.NumEdges(), total)
+		}
+	}
+}
