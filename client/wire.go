@@ -36,6 +36,7 @@ const EnvelopeVersion = 2
 const (
 	CodeBadRequest     = "bad_request"     // 400: malformed body or unparsable instance
 	CodeUnknownGraph   = "unknown_graph"   // 404: graph name not registered
+	CodeGraphTooLarge  = "graph_too_large" // 413: POST /v1/graphs over a per-graph cap or the registry budget
 	CodeNotOwner       = "not_owner"       // 421: replica does not own the key; Owner names who does
 	CodeBudgetExceeded = "budget_exceeded" // 422: a budget stage ran out (Stage/Resource/Limit/Used set)
 	CodeStateLimit     = "state_limit"     // 422: automaton state cap hit

@@ -13,7 +13,9 @@
 // StrategyTHM6, each timing the adaptive dispatcher against every
 // forced arm — the adaptive run ≥ 0.95x the better forced arm, the
 // dense minimization kernel ≥ 1.5x over forced sparse on StrategyTHM5,
-// and the EX2Pipeline speedup at GOMAXPROCS > 1 ≥ 0.95x); -against
+// and the EX2Pipeline speedup at GOMAXPROCS > 1 ≥ 0.95x; state
+// elimination ≥ 10x over the retained reference on RegexFromDFA n=5
+// and ≥ 1.0x on its random-instance pool); -against
 // verifies the report's schema and coverage against a committed
 // reference without comparing wall-clock numbers
 // (docs/PERFORMANCE.md §5).

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -22,17 +23,89 @@ import (
 // replaces the entry wholesale, it never mutates a served graph (the
 // engine's evaluator cache keys on the *graph.DB identity, so a
 // replaced graph gets fresh evaluators).
+//
+// Registrations over HTTP are bounded (addBounded); the operator's
+// -graph flags are not, but their edges count toward the total.
 type graphSet struct {
 	mu     sync.RWMutex
 	graphs map[string]*graph.DB
+	edges  int64 // summed NumEdges of the registered graphs
+
+	// gen serializes generator-spec registrations, so at most one
+	// graph of up to maxGraphEdges is being generated at a time and
+	// its budget check holds until it is registered.
+	gen sync.Mutex
+
+	maxEdges  int64 // maxRegistryEdges; tests lower it
+	maxGraphs int   // maxRegistryGraphs
 }
 
-func newGraphSet() *graphSet { return &graphSet{graphs: make(map[string]*graph.DB)} }
+// Bounds on POST /v1/graphs. A generator spec is sized from its
+// parameters before anything is generated; a spec over the per-graph
+// caps, or any registration that would take the registry past
+// maxRegistryEdges or maxRegistryGraphs, gets 413 graph_too_large.
+// The per-graph caps admit a million-edge powerlaw graph (well under
+// a second to generate); the totals keep a stream of registrations
+// from growing the registry without bound.
+const (
+	maxGraphNodes     = 1_000_000
+	maxGraphEdges     = 2_000_000
+	maxRegistryEdges  = 8_000_000
+	maxRegistryGraphs = 256
+)
 
+// errGraphTooLarge is the 413 class of registration failures.
+type errGraphTooLarge struct{ msg string }
+
+func (e *errGraphTooLarge) Error() string { return e.msg }
+
+func newGraphSet() *graphSet {
+	return &graphSet{graphs: make(map[string]*graph.DB), maxEdges: maxRegistryEdges, maxGraphs: maxRegistryGraphs}
+}
+
+// add registers db unconditionally (boot-time -graph flags).
 func (g *graphSet) add(name string, db *graph.DB) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	g.put(name, db)
+}
+
+// addBounded registers db unless the registry would then hold more
+// than its edge budget or graph count allows. A replaced graph's edges
+// are given back first.
+func (g *graphSet) addBounded(name string, db *graph.DB) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	total, count := g.edgesAfter(name, int64(db.NumEdges())), len(g.graphs)+1
+	if _, ok := g.graphs[name]; ok {
+		count--
+	}
+	if total > g.maxEdges {
+		return &errGraphTooLarge{fmt.Sprintf("registering %q would hold %d edges in the registry, over its budget of %d", name, total, g.maxEdges)}
+	}
+	if count > g.maxGraphs {
+		return &errGraphTooLarge{fmt.Sprintf("the registry holds its maximum of %d graphs", g.maxGraphs)}
+	}
+	g.put(name, db)
+	return nil
+}
+
+func (g *graphSet) put(name string, db *graph.DB) {
+	if old, ok := g.graphs[name]; ok {
+		g.edges -= int64(old.NumEdges())
+	}
 	g.graphs[name] = db
+	g.edges += int64(db.NumEdges())
+}
+
+// edgesAfter is the registry's edge total once a graph of that many
+// edges is registered under name. The caller holds mu.
+func (g *graphSet) edgesAfter(name string, edges int64) int64 {
+	total := g.edges + edges
+	if old, ok := g.graphs[name]; ok {
+		total -= int64(old.NumEdges())
+	}
+	return total
 }
 
 func (g *graphSet) get(name string) (*graph.DB, bool) {
@@ -71,13 +144,33 @@ func loadGraph(spec string) (*graph.DB, error) {
 	return graph.Read(f, nil)
 }
 
-// generateGraph resolves a spec sent to POST /v1/graphs: generator
-// specs only. A client's spec never names a server-side file.
-func generateGraph(spec string) (*graph.DB, error) {
+// registerSpec resolves a spec sent to POST /v1/graphs and registers
+// the graph: generator specs only, so a client's spec never names a
+// server-side file. The graph's size is read off the spec's parameters
+// first, and a graph over the per-graph caps, or one the registry has
+// no room for, is refused (*errGraphTooLarge) without being generated.
+func (g *graphSet) registerSpec(name, spec string) (*graph.DB, error) {
 	if !workload.IsGraphSpec(spec) {
 		return nil, fmt.Errorf("spec %q is not a graph generator spec (grid, chain, powerlaw or random); send the graph itself as text, or register files with the -graph flag", spec)
 	}
-	return workload.ParseGraphSpec(spec)
+	gen, err := workload.ParseGenerator(spec)
+	if err != nil {
+		return nil, err
+	}
+	nodes, edges := gen.Size()
+	if nodes > maxGraphNodes || edges > maxGraphEdges {
+		return nil, &errGraphTooLarge{fmt.Sprintf("spec %q generates %d nodes and %d edges; the caps are %d nodes and %d edges", spec, nodes, edges, maxGraphNodes, maxGraphEdges)}
+	}
+	g.gen.Lock()
+	defer g.gen.Unlock()
+	g.mu.RLock()
+	total := g.edgesAfter(name, edges)
+	g.mu.RUnlock()
+	if total > g.maxEdges {
+		return nil, &errGraphTooLarge{fmt.Sprintf("spec %q generates %d edges; the registry has no room for them under its budget of %d", spec, edges, g.maxEdges)}
+	}
+	db := gen.Build()
+	return db, g.addBounded(name, db)
 }
 
 // graphFlags is the repeatable -graph name=spec flag.
@@ -122,17 +215,23 @@ func (s *server) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
 	case req.Spec != "" && req.Text != "":
 		err = fmt.Errorf("give spec or text, not both")
 	case req.Spec != "":
-		db, err = generateGraph(req.Spec)
+		db, err = s.graphs.registerSpec(req.Name, req.Spec)
 	case req.Text != "":
-		db, err = graph.Read(strings.NewReader(req.Text), nil)
+		if db, err = graph.Read(strings.NewReader(req.Text), nil); err == nil {
+			err = s.graphs.addBounded(req.Name, db)
+		}
 	default:
 		err = fmt.Errorf("graph spec or text required")
+	}
+	var tooLarge *errGraphTooLarge
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, errorJSON{Code: regexrwclient.CodeGraphTooLarge, Message: err.Error()})
+		return
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, errorJSON{Code: "bad_request", Message: err.Error()})
 		return
 	}
-	s.graphs.add(req.Name, db)
 	writeJSON(w, http.StatusOK, graphInfo{Name: req.Name, Nodes: db.NumNodes(), Edges: db.NumEdges()})
 }
 

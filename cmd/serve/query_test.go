@@ -4,11 +4,17 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+
+	"regexrw/internal/engine"
+	"regexrw/internal/workload"
 )
 
 // ndLines splits an NDJSON body into decoded generic lines.
@@ -237,6 +243,64 @@ func TestServeGraphRegistry(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("bad registration %+v: status %d, want 400", bad, resp.StatusCode)
 		}
+	}
+}
+
+// TestServeGraphRegistryBounded: a generator spec over the per-graph
+// caps is refused with 413 graph_too_large before anything is
+// generated — grid:100000x100000 (10^10 nodes) allocates no more than
+// the request itself — and registrations stop at the registry's edge
+// budget, where replacing a graph gives its edges back.
+func TestServeGraphRegistryBounded(t *testing.T) {
+	ts, _ := testServer(t)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	resp, raw := post(t, ts.URL+"/v1/graphs", registerGraphRequest{Name: "huge", Spec: "grid:100000x100000"})
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("grid:100000x100000: status %d, want 413: %s", resp.StatusCode, raw)
+	}
+	if e := decode[errorEnvelope](t, raw).Error; e.Code != "graph_too_large" {
+		t.Fatalf("grid:100000x100000: error %+v", e)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+		t.Fatalf("refusing grid:100000x100000 allocated %d bytes", grew)
+	}
+
+	// Registrations stop at the registry's budgets, counted over every
+	// graph, boot-time ones included; replacing a graph gives its edges
+	// back. The budgets are lowered here so the test stays small.
+	gs := newGraphSet()
+	gs.maxEdges, gs.maxGraphs = 10, 3
+	gs.add("boot", workload.ChainGraph(4, nil))
+	ts2 := httptest.NewServer(newServer(engine.New(), nil, gs))
+	t.Cleanup(ts2.Close)
+	for _, c := range []struct {
+		name, spec string
+		status     int
+	}{
+		{"a", "chain:5:a", http.StatusOK},                    // 9 edges in all
+		{"b", "chain:2:a", http.StatusRequestEntityTooLarge}, // 11: refused before generation
+		{"a", "chain:6:a", http.StatusOK},                    // replaces a: 10
+		{"a", "chain:1:a", http.StatusOK},                    // 5
+		{"b", "chain:1:a", http.StatusOK},                    // 6, in 3 graphs
+		{"c", "chain:0:a", http.StatusRequestEntityTooLarge}, // a fourth graph
+		{"b", fmt.Sprintf("chain:%d", maxGraphEdges+1), http.StatusRequestEntityTooLarge},
+	} {
+		resp, raw := post(t, ts2.URL+"/v1/graphs", registerGraphRequest{Name: c.name, Spec: c.spec})
+		if resp.StatusCode != c.status {
+			t.Fatalf("%s=%s: status %d, want %d: %s", c.name, c.spec, resp.StatusCode, c.status, raw)
+		}
+		if c.status != http.StatusOK && decode[errorEnvelope](t, raw).Error.Code != "graph_too_large" {
+			t.Fatalf("%s=%s: %s", c.name, c.spec, raw)
+		}
+	}
+	if resp, raw := post(t, ts2.URL+"/v1/graphs", registerGraphRequest{Name: "b", Text: "x a y\ny a z\nz a w\nw a v\nv a u\nu a t\n"}); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("text graph past the edge budget: status %d: %s", resp.StatusCode, raw)
+	}
+	if got := len(gs.list()); got != 3 {
+		t.Fatalf("registry holds %d graphs, want 3", got)
 	}
 }
 

@@ -46,10 +46,13 @@ type Resource string
 // and search configurations (subset-construction subsets, product
 // pairs, containment frontier nodes); Transitions counts materialized
 // transitions (dominant in grounding, where one formula edge becomes
-// one edge per satisfying constant).
+// one edge per satisfying constant). Bytes is the rendered length of
+// a synthesized expression; it is not pooled in a Budget but bounded
+// per conversion by a fixed limit (regex.MaxRenderBytes).
 const (
 	States      Resource = "states"
 	Transitions Resource = "transitions"
+	Bytes       Resource = "bytes"
 )
 
 // ExceededError reports that a pipeline stage exhausted a budgeted

@@ -34,7 +34,7 @@ func (c ViewCosts) of(name string) float64 {
 // over the transitions of the trimmed automaton. Cheaper automata scan
 // fewer/lighter view extensions.
 func (r *Rewriting) EstimatedCost(costs ViewCosts) float64 {
-	base := r.Auto.Minimize().TrimPartial()
+	base := r.MinimalDFA()
 	total := 0.0
 	for s := 0; s < base.NumStates(); s++ {
 		for _, e := range r.sigmaE.Symbols() {

@@ -126,7 +126,7 @@ func (p *Possibility) NFA() *automata.NFA {
 
 // Regex returns R_poss as a simplified regular expression over Σ_E.
 func (p *Possibility) Regex() *regex.Node {
-	return regex.Simplify(regex.FromDFA(p.Auto.Minimize().TrimPartial()))
+	return regex.FromDFA(p.Auto.Minimize().TrimPartial())
 }
 
 // IsEmpty reports whether R_poss is empty — no view word can produce

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"regexrw/internal/automata"
 	"regexrw/internal/budget"
 	"regexrw/internal/core"
 	"regexrw/internal/par"
@@ -183,5 +184,43 @@ func TestParallelTransferBudgetTrips(t *testing.T) {
 	var ex *budget.ExceededError
 	if !errors.As(err, &ex) {
 		t.Fatalf("err = %v, want *budget.ExceededError", err)
+	}
+}
+
+// TestConcurrentRegexSharedRewriting: one rewriting's minimal DFA is
+// computed once and shared, so concurrent MinimalDFA, Regex and
+// RegexContext calls on the same rewriting must see the same DFA and
+// print the same expression (run under -race).
+func TestConcurrentRegexSharedRewriting(t *testing.T) {
+	r, err := core.MaximalRewritingContext(context.Background(), sharedInstance(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines = 12
+	dfas := make([]*automata.DFA, goroutines)
+	texts := make([]string, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			dfas[g] = r.MinimalDFA()
+			if g%2 == 0 {
+				texts[g] = r.Regex().String()
+				return
+			}
+			n, err := r.RegexContext(context.Background())
+			if err != nil {
+				t.Errorf("goroutine %d: %v", g, err)
+				return
+			}
+			texts[g] = n.String()
+		}(g)
+	}
+	wg.Wait()
+	for g := 1; g < goroutines; g++ {
+		if dfas[g] != dfas[0] || texts[g] != texts[0] {
+			t.Fatalf("goroutine %d: minimal DFA shared %v, expression %q vs %q", g, dfas[g] == dfas[0], texts[g], texts[0])
+		}
 	}
 }

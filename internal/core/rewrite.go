@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"sync"
 
 	"regexrw/internal/alphabet"
 	"regexrw/internal/automata"
@@ -46,6 +47,9 @@ type Rewriting struct {
 	viewsFn func() map[alphabet.Symbol]*automata.NFA
 
 	expanded *automata.NFA // cached Expand result
+
+	minimalOnce sync.Once
+	minimal     *automata.DFA // cached MinimalDFA result
 }
 
 // Sigma returns the base alphabet Σ of the rewriting.
@@ -626,15 +630,27 @@ func (r *Rewriting) NFA() *automata.NFA {
 }
 
 // Regex returns the rewriting as a simplified regular expression over
-// Σ_E (state elimination on the trimmed automaton).
+// Σ_E (state elimination on the minimal DFA). It is unbounded; serving
+// paths use RegexContext.
 func (r *Rewriting) Regex() *regex.Node {
-	return regex.Simplify(regex.FromDFA(r.Auto.Minimize().TrimPartial()))
+	return regex.FromDFA(r.MinimalDFA())
+}
+
+// RegexContext is Regex under the context's deadline and budget: the
+// state elimination ticks the "regex.from_dfa" meter and stops with a
+// *budget.ExceededError once the expression would render to more than
+// regex.MaxRenderBytes. It charges no states.
+func (r *Rewriting) RegexContext(ctx context.Context) (*regex.Node, error) {
+	return regex.FromDFAContext(ctx, r.MinimalDFA())
 }
 
 // MinimalDFA returns the canonical minimal DFA of the rewriting,
-// the size measure used by the Theorem 8 experiments.
+// the size measure used by the Theorem 8 experiments. It is computed
+// once per rewriting and shared by every caller, Regex included, so
+// callers must not modify it.
 func (r *Rewriting) MinimalDFA() *automata.DFA {
-	return r.Auto.Minimize().TrimPartial()
+	r.minimalOnce.Do(func() { r.minimal = r.Auto.Minimize().TrimPartial() })
+	return r.minimal
 }
 
 // Accepts reports whether the Σ_E-word (by view names) is in L(R).
@@ -666,16 +682,19 @@ func (r *Rewriting) ShortestWord() ([]alphabet.Symbol, bool) {
 // language is empty removed: words of the restricted automaton are
 // exactly the words of L(R) with a non-empty expansion.
 func (r *Rewriting) restrictToLiveViews() *automata.NFA {
+	views := r.Views()
+	var live []alphabet.Symbol
+	for _, e := range r.sigmaE.Symbols() {
+		if v := views[e]; v != nil && !v.IsEmpty() {
+			live = append(live, e)
+		}
+	}
 	restricted := automata.NewNFA(r.sigmaE)
 	restricted.AddStates(r.Auto.NumStates())
 	restricted.SetStart(r.Auto.Start())
 	for s := 0; s < r.Auto.NumStates(); s++ { //budget:exempt state-preserving restriction of the already-admitted rewriting DFA; transitions only shrink
 		restricted.SetAccept(automata.State(s), r.Auto.Accepting(automata.State(s)))
-		for _, e := range r.sigmaE.Symbols() {
-			v := r.Views()[e]
-			if v == nil || v.IsEmpty() {
-				continue
-			}
+		for _, e := range live {
 			if t := r.Auto.Next(automata.State(s), e); t != automata.NoState {
 				restricted.AddTransition(automata.State(s), e, t)
 			}

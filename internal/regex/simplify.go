@@ -12,167 +12,37 @@ package regex
 // The result is canonical enough for the paper's examples to print in
 // their published form; it is not a minimal normal form (language
 // minimality is undecidable syntactically — use automata equivalence for
-// semantic checks).
+// semantic checks). It is a fixpoint: Simplify of a simplified
+// expression prints the same.
 func Simplify(n *Node) *Node {
+	c := &converter{}
+	return c.node(c.simplify(n))
+}
+
+// simplify rebuilds a plain tree bottom-up, each node through the
+// simplifier step of its operator (convert.go), so that every child is
+// simplified exactly once.
+func (c *converter) simplify(n *Node) *snode {
 	switch n.Op {
-	case OpEmpty, OpEpsilon, OpSymbol:
-		return n
+	case OpEmpty:
+		return c.empty()
+	case OpEpsilon:
+		return c.eps()
+	case OpSymbol:
+		return c.mk(OpSymbol, n.Name, nil)
 	case OpStar:
-		return simplifyStar(Simplify(n.Subs[0]))
+		return c.star(c.simplify(n.Subs[0]))
 	case OpOpt:
-		return simplifyOpt(Simplify(n.Subs[0]))
-	case OpConcat:
-		return simplifyConcat(n.Subs)
-	case OpUnion:
-		return simplifyUnion(n.Subs)
+		return c.opt(c.simplify(n.Subs[0]))
+	case OpConcat, OpUnion:
+		parts := make([]*snode, len(n.Subs))
+		for i, s := range n.Subs {
+			parts[i] = c.simplify(s)
+		}
+		if n.Op == OpConcat {
+			return c.concat(parts...)
+		}
+		return c.union(parts...)
 	}
 	panic("regex: unknown op")
-}
-
-func simplifyStar(sub *Node) *Node {
-	switch sub.Op {
-	case OpEmpty, OpEpsilon:
-		return Epsilon()
-	case OpStar:
-		return sub
-	case OpOpt:
-		return Star(sub.Subs[0])
-	case OpUnion:
-		// (ε + E1 + …)* = (E1 + …)*
-		var kept []*Node
-		changed := false
-		for _, s := range sub.Subs {
-			if s.Op == OpEpsilon {
-				changed = true
-				continue
-			}
-			// (E* + …)* = (E + …)*
-			if s.Op == OpStar {
-				s = s.Subs[0]
-				changed = true
-			} else if s.Op == OpOpt {
-				s = s.Subs[0]
-				changed = true
-			}
-			kept = append(kept, s)
-		}
-		if changed {
-			return simplifyStar(simplifyUnion(kept))
-		}
-	}
-	return Star(sub)
-}
-
-func simplifyOpt(sub *Node) *Node {
-	switch sub.Op {
-	case OpEmpty, OpEpsilon:
-		return Epsilon()
-	case OpStar, OpOpt:
-		return sub
-	}
-	if sub.Nullable() {
-		return sub
-	}
-	return Opt(sub)
-}
-
-func simplifyConcat(subs []*Node) *Node {
-	var flat []*Node
-	for _, s := range subs {
-		s = Simplify(s)
-		switch s.Op {
-		case OpEmpty:
-			return Empty()
-		case OpEpsilon:
-			continue
-		case OpConcat:
-			flat = append(flat, s.Subs...)
-		default:
-			flat = append(flat, s)
-		}
-	}
-	// E*·E* = E*  and  E*·E·E* patterns are left alone; only adjacent
-	// identical stars collapse.
-	var out []*Node
-	for _, s := range flat {
-		if len(out) > 0 && s.Op == OpStar && out[len(out)-1].Op == OpStar &&
-			s.Subs[0].Equal(out[len(out)-1].Subs[0]) {
-			continue
-		}
-		out = append(out, s)
-	}
-	return Concat(out...)
-}
-
-func simplifyUnion(subs []*Node) *Node {
-	var flat []*Node
-	for _, s := range subs {
-		s = Simplify(s)
-		switch s.Op {
-		case OpEmpty:
-			continue
-		case OpUnion:
-			flat = append(flat, s.Subs...)
-		default:
-			flat = append(flat, s)
-		}
-	}
-	// Deduplicate structurally equal branches, preserving order.
-	var uniq []*Node
-	for _, s := range flat {
-		dup := false
-		for _, u := range uniq {
-			if s.Equal(u) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			uniq = append(uniq, s)
-		}
-	}
-	// Drop ε if some branch is nullable; drop E when E* is a branch.
-	hasEps := false
-	nullableNonEps := false
-	for _, s := range uniq {
-		if s.Op == OpEpsilon {
-			hasEps = true
-		} else if s.Nullable() {
-			nullableNonEps = true
-		}
-	}
-	var kept []*Node
-	for _, s := range uniq {
-		if s.Op == OpEpsilon && nullableNonEps {
-			continue
-		}
-		subsumed := false
-		for _, o := range uniq {
-			if o.Op == OpStar && o.Subs[0].Equal(s) {
-				subsumed = true
-				break
-			}
-			if o.Op == OpOpt && o.Subs[0].Equal(s) {
-				subsumed = true
-				break
-			}
-		}
-		if subsumed {
-			continue
-		}
-		kept = append(kept, s)
-	}
-	if hasEps && !nullableNonEps && len(kept) == 2 {
-		// ε + E  →  E?  (when E is the single other branch)
-		var other *Node
-		for _, s := range kept {
-			if s.Op != OpEpsilon {
-				other = s
-			}
-		}
-		if other != nil {
-			return simplifyOpt(other)
-		}
-	}
-	return Union(kept...)
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -114,10 +115,34 @@ func PowerLawGraph(r *rand.Rand, nodes, edges int, labels []string) *graph.DB {
 //
 // Unknown generator names and malformed parameters are errors.
 func ParseGraphSpec(spec string) (*graph.DB, error) {
-	parts := strings.Split(spec, ":")
-	bad := func(format string, args ...any) (*graph.DB, error) {
-		return nil, fmt.Errorf("workload: graph spec %q: %s", spec, fmt.Sprintf(format, args...))
+	g, err := ParseGenerator(spec)
+	if err != nil {
+		return nil, err
 	}
+	return g.Build(), nil
+}
+
+// Generator is a parsed generator spec: the parameters of the graph
+// ParseGraphSpec would build, before anything is built. Size reads the
+// graph's dimensions off them, so a caller can refuse an oversized spec
+// without allocating it.
+type Generator struct {
+	kind   string // grid, chain, powerlaw or random
+	w, h   int    // grid dimensions
+	n      int    // chain length; powerlaw/random node count
+	e      int    // powerlaw/random edge count
+	seed   int64  // powerlaw/random seed
+	labels []string
+}
+
+// ParseGenerator parses a generator spec (see ParseGraphSpec) without
+// building the graph.
+func ParseGenerator(spec string) (Generator, error) {
+	parts := strings.Split(spec, ":")
+	bad := func(format string, args ...any) (Generator, error) {
+		return Generator{}, fmt.Errorf("workload: graph spec %q: %s", spec, fmt.Sprintf(format, args...))
+	}
+	g := Generator{kind: parts[0]}
 	switch parts[0] {
 	case "grid":
 		if len(parts) < 2 || len(parts) > 3 {
@@ -132,15 +157,14 @@ func ParseGraphSpec(spec string) (*graph.DB, error) {
 		if werr != nil || herr != nil || w < 1 || h < 1 {
 			return bad("dimensions %q are not positive integers", parts[1])
 		}
-		right, down := "right", "down"
+		g.w, g.h, g.labels = w, h, []string{"right", "down"}
 		if len(parts) == 3 {
 			labels := strings.Split(parts[2], ",")
 			if len(labels) != 2 || labels[0] == "" || labels[1] == "" {
 				return bad("want exactly two labels, got %q", parts[2])
 			}
-			right, down = labels[0], labels[1]
+			g.labels = labels
 		}
-		return GridGraph(w, h, right, down), nil
 	case "chain":
 		if len(parts) < 2 || len(parts) > 3 {
 			return bad("want chain:N[:labels]")
@@ -149,14 +173,12 @@ func ParseGraphSpec(spec string) (*graph.DB, error) {
 		if err != nil || n < 0 {
 			return bad("length %q is not a non-negative integer", parts[1])
 		}
-		var labels []string
+		g.n = n
 		if len(parts) == 3 {
-			labels = splitLabels(parts[2])
-			if labels == nil {
+			if g.labels = splitLabels(parts[2]); g.labels == nil {
 				return bad("empty label in %q", parts[2])
 			}
 		}
-		return ChainGraph(n, labels), nil
 	case "powerlaw", "random":
 		if len(parts) < 4 || len(parts) > 5 {
 			return bad("want %s:N:E:SEED[:labels]", parts[0])
@@ -167,21 +189,56 @@ func ParseGraphSpec(spec string) (*graph.DB, error) {
 		if nerr != nil || eerr != nil || serr != nil || n < 1 || e < 0 {
 			return bad("parameters %q are not N:E:SEED", strings.Join(parts[1:4], ":"))
 		}
-		labels := []string{"a", "b"}
+		g.n, g.e, g.seed, g.labels = n, e, seed, []string{"a", "b"}
 		if len(parts) == 5 {
-			labels = splitLabels(parts[4])
-			if labels == nil {
+			if g.labels = splitLabels(parts[4]); g.labels == nil {
 				return bad("empty label in %q", parts[4])
 			}
 		}
-		r := rand.New(rand.NewSource(seed))
-		if parts[0] == "powerlaw" {
-			return PowerLawGraph(r, n, e, labels), nil
-		}
-		return RandomGraph(r, GraphConfig{Nodes: n, Edges: e, Labels: labels}), nil
 	default:
 		return bad("unknown generator %q (want grid, chain, powerlaw or random)", parts[0])
 	}
+	return g, nil
+}
+
+// Size returns the node and edge counts of the graph Build would make,
+// saturating at math.MaxInt64 instead of overflowing.
+func (g Generator) Size() (nodes, edges int64) {
+	switch g.kind {
+	case "grid":
+		w, h := int64(g.w), int64(g.h)
+		return satMul(w, h), satAdd(satMul(w-1, h), satMul(w, h-1))
+	case "chain":
+		return satAdd(int64(g.n), 1), int64(g.n)
+	}
+	return int64(g.n), int64(g.e)
+}
+
+// Build generates the graph.
+func (g Generator) Build() *graph.DB {
+	switch g.kind {
+	case "grid":
+		return GridGraph(g.w, g.h, g.labels[0], g.labels[1])
+	case "chain":
+		return ChainGraph(g.n, g.labels)
+	case "powerlaw":
+		return PowerLawGraph(rand.New(rand.NewSource(g.seed)), g.n, g.e, g.labels)
+	}
+	return RandomGraph(rand.New(rand.NewSource(g.seed)), GraphConfig{Nodes: g.n, Edges: g.e, Labels: g.labels})
+}
+
+func satMul(a, b int64) int64 {
+	if a != 0 && b > math.MaxInt64/a {
+		return math.MaxInt64
+	}
+	return a * b
+}
+
+func satAdd(a, b int64) int64 {
+	if a > math.MaxInt64-b {
+		return math.MaxInt64
+	}
+	return a + b
 }
 
 // IsGraphSpec reports whether the string names a known generator —

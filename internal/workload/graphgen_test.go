@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -192,5 +193,46 @@ func TestGeneratorsNumEdges(t *testing.T) {
 		if db.NumEdges() != total {
 			t.Errorf("%s: NumEdges = %d, out-lists hold %d", name, db.NumEdges(), total)
 		}
+	}
+}
+
+// TestGeneratorSize: a spec's size, read off its parameters, is the
+// size of the graph it builds, and huge specs are sized without being
+// built (no allocation beyond the parse) and without overflowing.
+func TestGeneratorSize(t *testing.T) {
+	for _, spec := range []string{
+		"grid:3x3", "grid:1x7", "grid:5x1:r,d", "chain:0", "chain:10:a,b",
+		"powerlaw:100:400:7", "random:50:200:9",
+	} {
+		g, err := ParseGenerator(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		nodes, edges := g.Size()
+		db := g.Build()
+		if nodes != int64(db.NumNodes()) || edges != int64(db.NumEdges()) {
+			t.Fatalf("%s: Size = %d/%d, built %d/%d", spec, nodes, edges, db.NumNodes(), db.NumEdges())
+		}
+	}
+	var nodes, edges int64
+	allocs := testing.AllocsPerRun(10, func() {
+		g, err := ParseGenerator("grid:100000x100000")
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes, edges = g.Size()
+	})
+	if nodes != 10_000_000_000 || edges != 19_999_800_000 {
+		t.Fatalf("grid:100000x100000: Size = %d/%d", nodes, edges)
+	}
+	if allocs > 10 {
+		t.Fatalf("sizing a spec allocated %.0f times", allocs)
+	}
+	g, err := ParseGenerator("grid:9000000000000000000x9000000000000000000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nodes, edges := g.Size(); nodes != math.MaxInt64 || edges != math.MaxInt64 {
+		t.Fatalf("overflowing grid: Size = %d/%d, want saturation", nodes, edges)
 	}
 }

@@ -44,7 +44,8 @@ import (
 // errors, all composable with errors.Is / errors.As:
 //
 //   - *BudgetExceeded (errors.As): a resource cap tripped; the error
-//     names the pipeline Stage, the Resource (states or transitions),
+//     names the pipeline Stage, the Resource (states or transitions, or
+//     bytes for an expression past regex.MaxRenderBytes),
 //     the Limit and the Used count. The rewriting as posed cannot be
 //     built under the caps — raise them or simplify the instance.
 //   - ErrStateLimit (errors.Is): the legacy bounded entry points
