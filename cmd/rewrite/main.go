@@ -187,7 +187,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		fmt.Fprintf(stdout, "\npartial rewriting: add elementary views %v\n", res.Result.Added)
-		fmt.Fprintf(stdout, "extended rewriting = %s (exact)\n", res.Result.Rewriting.Regex())
+		fmt.Fprintf(stdout, "extended rewriting = %s (exact)\n", plan.PartialRegexString())
 	}
 
 	if *possible {

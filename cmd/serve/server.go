@@ -151,7 +151,7 @@ func (s *server) respond(w http.ResponseWriter, r *http.Request, plan *engine.Pl
 		resp.Partial = &partialJSON{
 			Exact:     pr.Exact,
 			Added:     pr.Result.Added,
-			Rewriting: pr.Result.Rewriting.Regex().String(),
+			Rewriting: plan.PartialRegexString(),
 			Stage:     pr.Stage,
 		}
 	}

@@ -403,13 +403,17 @@ func TestEnginePartialRequest(t *testing.T) {
 	if p.Partial() == nil || !p.Partial().Exact {
 		t.Fatalf("expected an exact partial extension, got %+v", p.Partial())
 	}
+	// The extension's expression is stored on the plan at compile time.
+	if got, want := p.PartialRegexString(), p.Partial().Result.Rewriting.Regex().String(); got == "" || got != want {
+		t.Fatalf("PartialRegexString() = %q, want %q", got, want)
+	}
 	// The same instance without Partial is a different cache entry and
 	// carries no partial result.
 	plain, err := e.Rewrite(context.Background(), Request{Query: req.Query, Views: req.Views})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain == p || plain.Partial() != nil {
+	if plain == p || plain.Partial() != nil || plain.PartialRegexString() != "" {
 		t.Fatal("partial and plain plans must be distinct cache entries")
 	}
 }
